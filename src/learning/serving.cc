@@ -1,30 +1,12 @@
 #include "learning/serving.h"
 
-#include <utility>
+#include <memory>
 
 #include "models/dmgard.h"
 #include "models/features.h"
 
 namespace mgardp {
 namespace learning {
-
-VersionedEstimator::VersionedEstimator(
-    std::shared_ptr<const ModelVersion> version)
-    : version_(std::move(version)), estimator_(version_->emgard.get()) {}
-
-double VersionedEstimator::Estimate(const RefactoredField& field,
-                                    const std::vector<int>& prefix) const {
-  return estimator_.Estimate(field, prefix);
-}
-
-Result<double> VersionedEstimator::TryEstimate(
-    const RefactoredField& field, const std::vector<int>& prefix) const {
-  return estimator_.TryEstimate(field, prefix);
-}
-
-std::string VersionedEstimator::name() const {
-  return "e-mgard@v" + std::to_string(version_->version);
-}
 
 std::string VersionAuditId(const ModelVersion& version) {
   const char* base =
@@ -42,7 +24,8 @@ EstimatorProvider MakeRegistryEstimatorProvider(ModelRegistry* registry,
       return EstimatorLease{};
     }
     EstimatorLease lease;
-    lease.estimator = std::make_shared<VersionedEstimator>(version);
+    lease.estimator =
+        std::make_shared<LearnedConstantsEstimator>(version->emgard);
     lease.audit_model_id = VersionAuditId(*version);
     return lease;
   };

@@ -151,36 +151,6 @@ Result<EMgardModel> EMgardModel::TrainModel(
   return model;
 }
 
-std::vector<double> EMgardModel::BuildConstantInput(
-    const std::vector<double>& sketch, double level_error,
-    int bitplanes) const {
-  return LevelInput(sketch, level_error, bitplanes);
-}
-
-Result<dnn::Matrix> EMgardModel::PredictConstantKernel(
-    int level, const dnn::Matrix& inputs) const {
-  if (models_.empty()) {
-    return Status::FailedPrecondition("E-MGARD: model not trained");
-  }
-  if (level < 0 || level >= num_levels()) {
-    return Status::OutOfRange("E-MGARD: level out of range");
-  }
-  if (inputs.cols() != scalers_[level].num_features()) {
-    return Status::Invalid("E-MGARD: sketch size differs from training");
-  }
-  MGARDP_ASSIGN_OR_RETURN(dnn::Matrix xs, scalers_[level].Transform(inputs));
-  const dnn::Matrix out = models_[level].Predict(xs);
-  dnn::Matrix constants(out.rows(), 1);
-  for (std::size_t r = 0; r < out.rows(); ++r) {
-    MGARDP_ASSIGN_OR_RETURN(
-        const double log_c,
-        target_scalers_[level].InverseTransformValue(0, out(r, 0)));
-    constants(r, 0) = std::clamp(std::pow(10.0, log_c),
-                                 config_.min_constant, config_.max_constant);
-  }
-  return constants;
-}
-
 Result<std::vector<double>> EMgardModel::PredictConstantBatch(
     int level, const std::vector<ConstantRequest>& requests) const {
   if (models_.empty()) {
@@ -205,11 +175,15 @@ Result<std::vector<double>> EMgardModel::PredictConstantBatch(
       x(r, c) = in[c];
     }
   }
-  MGARDP_ASSIGN_OR_RETURN(dnn::Matrix constants,
-                          PredictConstantKernel(level, x));
+  MGARDP_ASSIGN_OR_RETURN(dnn::Matrix xs, scalers_[level].Transform(x));
+  const dnn::Matrix y = models_[level].Predict(xs);
   std::vector<double> out(n);
   for (std::size_t r = 0; r < n; ++r) {
-    out[r] = constants(r, 0);
+    MGARDP_ASSIGN_OR_RETURN(
+        const double log_c,
+        target_scalers_[level].InverseTransformValue(0, y(r, 0)));
+    out[r] = std::clamp(std::pow(10.0, log_c), config_.min_constant,
+                        config_.max_constant);
   }
   return out;
 }

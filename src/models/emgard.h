@@ -15,7 +15,9 @@
 #ifndef MGARDP_MODELS_EMGARD_H_
 #define MGARDP_MODELS_EMGARD_H_
 
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dnn/mlp.h"
@@ -73,23 +75,9 @@ class EMgardModel {
 
   // Batched constant prediction: one multi-row forward pass per call. Row
   // r is bit-identical to PredictConstant on request r alone.
+  // Thread-safe: no model state is written.
   Result<std::vector<double>> PredictConstantBatch(
       int level, const std::vector<ConstantRequest>& requests) const;
-
-  // The raw (unscaled) network input row for one retrieval state — what
-  // the inference batcher queues. Feed rows back through
-  // PredictConstantKernel to score them.
-  std::vector<double> BuildConstantInput(const std::vector<double>& sketch,
-                                         double level_error,
-                                         int bitplanes) const;
-
-  // Scores N stacked BuildConstantInput rows with level `level`'s network
-  // in one forward pass; returns an N x 1 matrix of clamped constants.
-  // This is the batch kernel shared by every prediction surface, so every
-  // path — single, batched, cross-request coalesced — runs the identical
-  // math. Thread-safe: no model state is written.
-  Result<dnn::Matrix> PredictConstantKernel(int level,
-                                            const dnn::Matrix& inputs) const;
 
   // Calibrated multiplier applied to the summed estimate. The greedy search
   // stops at the first state whose estimate meets the bound, which is
@@ -117,11 +105,17 @@ class EMgardModel {
 };
 
 // ErrorEstimator implementing Equation 7 with the learned constants.
+// Immutable; safe to share across threads.
 class LearnedConstantsEstimator : public ErrorEstimator {
  public:
-  // `model` must outlive the estimator.
+  // Non-owning: `model` must outlive the estimator.
   explicit LearnedConstantsEstimator(const EMgardModel* model)
-      : model_(model) {}
+      : model_(std::shared_ptr<const EMgardModel>(), model) {}
+  // Owning: the estimator keeps `model` alive, so a serving model that is
+  // hot-swapped out of the registry cannot be freed under a planner that
+  // still holds the estimator.
+  explicit LearnedConstantsEstimator(std::shared_ptr<const EMgardModel> model)
+      : model_(std::move(model)) {}
 
   // +infinity when the model cannot evaluate a level (shape mismatch
   // between the artifact and the trained model); TryEstimate carries the
@@ -133,7 +127,8 @@ class LearnedConstantsEstimator : public ErrorEstimator {
   std::string name() const override { return "e-mgard"; }
 
  private:
-  const EMgardModel* model_;
+  // Empty owner (aliasing constructor) when built from a raw pointer.
+  std::shared_ptr<const EMgardModel> model_;
 };
 
 }  // namespace mgardp

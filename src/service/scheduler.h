@@ -68,9 +68,8 @@ class RetrievalScheduler {
     std::size_t per_tenant_capacity = 0;
     // Non-owning observability hooks, both optional. The flight recorder
     // mints a RequestContext per admitted request (propagated through the
-    // pool and batcher via ScopedRequestContext) and tail-samples the
-    // outcome; the SLO monitor counts every completion and shed against
-    // its objectives.
+    // pool via ScopedRequestContext) and tail-samples the outcome; the SLO
+    // monitor counts every completion and shed against its objectives.
     obs::RequestTraceRecorder* flight_recorder = nullptr;
     obs::SloMonitor* slo = nullptr;
   };
@@ -81,8 +80,10 @@ class RetrievalScheduler {
     double deadline_ms = 0.0;   // 0: use the scheduler default
     std::string tenant;         // "" is itself a (shared) tenant
     // Opaque caller annotation carried on the request's trace (e.g. a
-    // client-side correlation key); empty stays off the wire.
-    std::string baggage;
+    // client-side correlation key); empty stays off the wire. The explicit
+    // empty initializer lets brace-initialized requests omit it without
+    // -Wmissing-field-initializers.
+    std::string baggage{};
   };
 
   struct Response {

@@ -72,7 +72,7 @@ class BinaryReader {
   template <typename T>
   Status Get(T* out) {
     static_assert(std::is_trivially_copyable_v<T>);
-    if (pos_ + sizeof(T) > size_) {
+    if (sizeof(T) > remaining()) {
       return Status::OutOfRange("BinaryReader: truncated input");
     }
     std::memcpy(out, data_ + pos_, sizeof(T));
@@ -84,7 +84,9 @@ class BinaryReader {
   Status GetVector(std::vector<T>* out) {
     std::uint64_t n = 0;
     MGARDP_RETURN_NOT_OK(Get(&n));
-    if (pos_ + n * sizeof(T) > size_) {
+    // Divide, never multiply: `n` comes from the input and n * sizeof(T)
+    // can wrap past the check.
+    if (n > remaining() / sizeof(T)) {
       return Status::OutOfRange("BinaryReader: truncated vector");
     }
     out->resize(n);
@@ -98,7 +100,7 @@ class BinaryReader {
   Status GetString(std::string* out) {
     std::uint64_t n = 0;
     MGARDP_RETURN_NOT_OK(Get(&n));
-    if (pos_ + n > size_) {
+    if (n > remaining()) {
       return Status::OutOfRange("BinaryReader: truncated string");
     }
     out->assign(data_ + pos_, n);
@@ -107,7 +109,7 @@ class BinaryReader {
   }
 
   Status GetBytes(void* out, std::size_t n) {
-    if (pos_ + n > size_) {
+    if (n > remaining()) {
       return Status::OutOfRange("BinaryReader: truncated bytes");
     }
     std::memcpy(out, data_ + pos_, n);
